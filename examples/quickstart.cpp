@@ -52,12 +52,12 @@ int main() {
   std::printf("Question : %s\n", example.nlq.c_str());
   std::printf("Database : %s\n\n", example.db_name.c_str());
 
-  Result<dvq::DVQ> dvq = gred.Translate(example.nlq, db->data);
+  core::Gred::Trace trace;
+  Result<dvq::DVQ> dvq = gred.TranslateWithTrace(example.nlq, db->data, &trace);
   if (!dvq.ok()) {
     std::printf("translation failed: %s\n", dvq.status().ToString().c_str());
     return 1;
   }
-  const core::Gred::Trace& trace = gred.last_trace();
   std::printf("Generator : %s\n", trace.dvq_gen.c_str());
   std::printf("Retuner   : %s\n", trace.dvq_rtn.c_str());
   std::printf("Debugger  : %s\n\n", trace.dvq_dbg.c_str());

@@ -130,8 +130,12 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/eval_test" \
   --gtest_filter='ParallelHarness.*'
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/llm_test" \
   --gtest_filter='Resilient.*'
+# GRED's refinement stages hand DVQ values (text + carried parse) from
+# stage to stage and write each caller's own trace, with no shared
+# last-trace mutex: the degradation, repair-gate, stage-budget and
+# per-call refinement tests all run under TSan.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/gred_test" \
-  --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*'
+  --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*:*RepairGate*:*Budget*:*PerCallRefinement*'
 TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-tsan/tests/retrieval_equivalence_test" \
   --gtest_filter='CachingEmbedder.*'
@@ -172,7 +176,7 @@ cmake --build "$ROOT/build-asan" -j"$JOBS" \
   --target fuzz_test dvq_test resource_guard_test metamorphic_test \
            analysis_test repair_test json_test exec_test \
            exec_reference_test retrieval_equivalence_test \
-           kernel_dispatch_test
+           kernel_dispatch_test gred_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/fuzz_test"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -210,5 +214,10 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   --gtest_filter='QuantizedEquivalence.*:IvfEquivalence.*:RetrievalIndexFacade.*'
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/kernel_dispatch_test"
+# The GRED pipeline moves each stage's DVQ (text plus its parse) into
+# the next stage and into the caller's trace; the whole suite, including
+# the budget-tripped and repaired candidates, runs under ASan+UBSan.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+  "$ROOT/build-asan/tests/gred_test"
 
 echo "== tier-1: OK =="

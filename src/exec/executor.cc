@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -873,17 +872,6 @@ std::string ResultSet::ToString(std::size_t max_rows) const {
     out += strings::Format("... (%zu more rows)\n", rows.size() - max_rows);
   }
   return out;
-}
-
-Engine DefaultEngine() {
-  static const Engine engine = [] {
-    const char* env = std::getenv("GRED_EXEC_ENGINE");
-    if (env != nullptr && strings::EqualsIgnoreCase(env, "row")) {
-      return Engine::kRowAtATime;
-    }
-    return Engine::kColumnar;
-  }();
-  return engine;
 }
 
 Result<ResultSet> Execute(const dvq::Query& query,

@@ -38,16 +38,10 @@ enum class JoinStrategy { kHashJoin, kNestedLoop };
 /// tests/exec_reference_test.cc); see DESIGN.md's executor section.
 enum class Engine { kColumnar, kRowAtATime };
 
-/// Process-wide default engine: `GRED_EXEC_ENGINE=row` selects the
-/// reference engine, anything else (including unset) the columnar one.
-/// Read once per process, so the whole pipeline — eval, serve, bench —
-/// can be flipped without plumbing.
-Engine DefaultEngine();
-
 /// Execution options.
 struct ExecOptions {
   JoinStrategy join_strategy = JoinStrategy::kHashJoin;
-  Engine engine = DefaultEngine();
+  Engine engine = Engine::kColumnar;
   /// Test-only 64-bit value-hash override used by hash joins and
   /// group-by in both engines (nullptr = storage::Value::Hash, the
   /// production path). Injecting a degenerate hash — e.g. a constant —

@@ -92,45 +92,77 @@ Result<std::size_t> Gred::PrepareAnnotations(
   return annotated;
 }
 
-Gred::Trace Gred::last_trace() const {
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  return trace_;
-}
-
 Gred::StageStats Gred::stage_stats() const {
   StageStats stats;
   stats.retrieval_seconds = retrieval_time_.seconds();
-  stats.retune_seconds = retune_time_.seconds();
-  stats.debug_seconds = debug_time_.seconds();
+  stats.retune_seconds = retune_.time.seconds();
+  stats.debug_seconds = debug_.time.seconds();
   stats.translate_calls = translate_calls_.load(std::memory_order_relaxed);
-  stats.retune_degraded = retune_degraded_.load(std::memory_order_relaxed);
-  stats.debug_degraded = debug_degraded_.load(std::memory_order_relaxed);
+  stats.retune_degraded = retune_.degraded.load(std::memory_order_relaxed);
+  stats.debug_degraded = debug_.degraded.load(std::memory_order_relaxed);
   stats.retune_budget_trips =
-      retune_budget_trips_.load(std::memory_order_relaxed);
+      retune_.budget_trips.load(std::memory_order_relaxed);
   stats.debug_budget_trips =
-      debug_budget_trips_.load(std::memory_order_relaxed);
-  stats.retune_lint_trips = retune_lint_trips_.load(std::memory_order_relaxed);
-  stats.debug_lint_trips = debug_lint_trips_.load(std::memory_order_relaxed);
-  stats.retune_repairs = retune_repairs_.load(std::memory_order_relaxed);
-  stats.debug_repairs = debug_repairs_.load(std::memory_order_relaxed);
+      debug_.budget_trips.load(std::memory_order_relaxed);
+  stats.retune_lint_trips = retune_.lint_trips.load(std::memory_order_relaxed);
+  stats.debug_lint_trips = debug_.lint_trips.load(std::memory_order_relaxed);
+  stats.retune_repairs = retune_.repairs.load(std::memory_order_relaxed);
+  stats.debug_repairs = debug_.repairs.load(std::memory_order_relaxed);
   return stats;
 }
 
 /// Validates a stage's DVQ text under the configured per-stage budget.
 /// With unlimited stage_limits this is a plain Parse — bit-identical to
-/// the pre-guard pipeline. `budget_tripped` (optional) reports whether
-/// the parse failed specifically because the budget ran out.
-Result<dvq::DVQ> Gred::ParseWithinStageBudget(const std::string& text,
-                                              bool* budget_tripped) const {
-  if (budget_tripped != nullptr) *budget_tripped = false;
+/// the pre-guard pipeline. An unguarded Parse never returns
+/// kResourceExhausted (its depth cap is a kParseError), so that code
+/// means the budget ran out.
+Result<dvq::DVQ> Gred::ParseWithinStageBudget(const std::string& text) const {
   if (config_.stage_limits.Unlimited()) return dvq::Parse(text);
   ExecContext guard(config_.stage_limits);
-  Result<dvq::DVQ> parsed = dvq::Parse(text, &guard);
-  if (!parsed.ok() && parsed.status().IsResourceExhausted() &&
-      budget_tripped != nullptr) {
-    *budget_tripped = true;
+  return dvq::Parse(text, &guard);
+}
+
+Gred::Judged Gred::AcceptCandidate(std::string candidate,
+                                   const schema::Database& schema,
+                                   StageCounters* counters) const {
+  // Accept the stage's output only when it is a parseable DVQ within the
+  // per-stage budget: a truncated/corrupted/oversized completion must
+  // not replace a healthy DVQ. With enable_lint the bar rises: a
+  // candidate the analyzer proves broken against the schema
+  // (error-level diagnostic) is rejected exactly like a budget trip.
+  Result<dvq::DVQ> parsed =
+      candidate.empty()
+          ? Result<dvq::DVQ>(Status::ParseError("stage produced no DVQ"))
+          : ParseWithinStageBudget(candidate);
+  Verdict verdict = Verdict::kUnparseable;
+  if (!parsed.ok()) {
+    if (parsed.status().IsResourceExhausted()) verdict = Verdict::kBudgetTrip;
+  } else if (config_.enable_lint &&
+             analysis::HasErrors(
+                 analysis::DvqAnalyzer(&schema).Analyze(parsed.value()))) {
+    // One deterministic repair attempt before degradation (DESIGN.md
+    // §17): an error-free repaired candidate is accepted in place of
+    // the rejected one.
+    if (config_.enable_repair) {
+      analysis::RepairResult repaired =
+          analysis::DvqRepairer(&schema).Repair(parsed.value());
+      if (repaired.success) {
+        counters->repairs.fetch_add(1, std::memory_order_relaxed);
+        return {Verdict::kRepaired, {repaired.dvq.ToString(), std::nullopt}};
+      }
+    }
+    verdict = Verdict::kLintRejected;
+  } else {
+    return {Verdict::kAccepted, {std::move(candidate), std::move(parsed)}};
   }
-  return parsed;
+  counters->degraded.fetch_add(1, std::memory_order_relaxed);
+  if (verdict == Verdict::kBudgetTrip) {
+    counters->budget_trips.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (verdict == Verdict::kLintRejected) {
+    counters->lint_trips.fetch_add(1, std::memory_order_relaxed);
+  }
+  return {verdict, {}};
 }
 
 Result<dvq::DVQ> Gred::Translate(const std::string& nlq,
@@ -138,36 +170,41 @@ Result<dvq::DVQ> Gred::Translate(const std::string& nlq,
   return TranslateWithTrace(nlq, db, nullptr);
 }
 
-Result<dvq::DVQ> Gred::TranslateWithTrace(const std::string& nlq,
-                                          const storage::DatabaseData& db,
-                                          Trace* trace_out) const {
-  return TranslateWithTrace(nlq, db, trace_out, TranslateOptions{});
-}
-
 Result<dvq::DVQ> Gred::TranslateWithTrace(
     const std::string& nlq, const storage::DatabaseData& db, Trace* trace_out,
     const TranslateOptions& options) const {
-  // The trace is built locally and committed at the end so concurrent
-  // Translate calls never interleave writes into trace_; `trace_out`
-  // receives this call's own copy (per-request flags for the serving
-  // layer, race-free under concurrent sessions).
-  Trace trace;
+  Trace local_trace;
+  Trace& trace = trace_out != nullptr ? *trace_out : local_trace;
+  trace = Trace{};
   translate_calls_.fetch_add(1, std::memory_order_relaxed);
-  auto commit_trace = [this, &trace, trace_out] {
-    if (trace_out != nullptr) *trace_out = trace;
-    std::lock_guard<std::mutex> lock(trace_mutex_);
-    trace_ = trace;
+  const schema::Database& schema = db.db_schema();
+
+  StageDvq current;  // the DVQ the next stage refines
+  // Records a refinement stage's verdict in its trace fields; an
+  // accepted DVQ replaces `current`.
+  auto record = [&current](Judged judged, std::string& stage_dvq,
+                           bool& degraded, bool& lint_rejected,
+                           bool& repaired) {
+    degraded = !judged.accepted();
+    lint_rejected = judged.verdict == Verdict::kLintRejected;
+    repaired = judged.verdict == Verdict::kRepaired;
+    if (judged.accepted()) {
+      stage_dvq = judged.dvq.text;
+      current = std::move(judged.dvq);
+    }
+  };
+  auto completion_dvq = [](const Result<std::string>& completion) {
+    return completion.ok() ? llm::ExtractDvqText(completion.value())
+                           : std::string();
   };
 
   // --- NLQ-Retrieval Generator -------------------------------------------
-  std::string current;
   std::string target_schema;
   {
     ScopedTimer timer(&retrieval_time_);
     std::vector<models::ExampleIndex::Hit> hits =
         nlq_index_->TopK(nlq, config_.k);
     if (hits.empty()) {
-      commit_trace();
       return Status::NotFound("GRED: empty embedding library");
     }
     // hits are descending by similarity; the paper assembles the prompt in
@@ -188,175 +225,95 @@ Result<dvq::DVQ> Gred::TranslateWithTrace(
       ex.dvq = hit.example->DvqText();
       examples.push_back(std::move(ex));
     }
-    target_schema = db.db_schema().RenderSchemaPrompt();
+    target_schema = schema.RenderSchemaPrompt();
     llm::Prompt gen_prompt =
         llm::BuildGenerationPrompt(examples, target_schema, nlq);
     Result<std::string> gen_completion =
         llm_->Complete(gen_prompt, WorkingOptions());
-    if (!gen_completion.ok()) {
-      commit_trace();
-      return gen_completion.status();
-    }
+    if (!gen_completion.ok()) return gen_completion.status();
     std::string dvq_gen = llm::ExtractDvqText(gen_completion.value());
     if (dvq_gen.empty()) {
-      commit_trace();
       return Status::ExecutionError("GRED: generator produced no DVQ");
     }
     trace.dvq_gen = dvq_gen;
-    current = dvq_gen;
+    current.text = std::move(dvq_gen);
   }
 
   // --- DVQ-Retrieval Retuner ----------------------------------------------
-  // A retuner failure — transient LLM error surviving retries, or a
-  // completion with no extractable DVQ — degrades rather than fails the
-  // call: the generator's DVQ carries forward, the trace keeps dvq_rtn
-  // empty (the stage produced nothing) and marks the stage degraded.
-  if (config_.enable_retuner && options.enable_retuner) {
-    ScopedTimer timer(&retune_time_);
+  // A retuner failure — transient LLM error surviving retries, a
+  // completion with no extractable DVQ, or a candidate AcceptCandidate
+  // rejects — degrades rather than fails the call: the generator's DVQ
+  // carries forward, the trace keeps dvq_rtn empty (the stage produced
+  // nothing) and marks the stage degraded.
+  if (config_.enable_retuner && options.enable_refinement) {
+    ScopedTimer timer(&retune_.time);
     std::vector<models::DvqIndex::Hit> dvq_hits =
-        dvq_index_->TopK(current, config_.k);
+        dvq_index_->TopK(current.text, config_.k);
     std::vector<std::string> references;
     references.reserve(dvq_hits.size());
     for (const models::DvqIndex::Hit& hit : dvq_hits) {
       references.push_back(hit.example->DvqText());
     }
-    llm::Prompt retune_prompt = llm::BuildRetunePrompt(references, current);
-    Result<std::string> retune_completion =
-        llm_->Complete(retune_prompt, WorkingOptions());
-    std::string dvq_rtn;
-    if (retune_completion.ok()) {
-      dvq_rtn = llm::ExtractDvqText(retune_completion.value());
-    }
-    // Accept the stage's output only when it is a parseable DVQ within
-    // the per-stage budget: a truncated/corrupted/oversized completion
-    // must not replace a healthy DVQ. With enable_lint the bar rises:
-    // a candidate the analyzer proves broken against the schema
-    // (error-level diagnostic) is rejected exactly like a budget trip.
-    bool budget_tripped = false;
-    bool lint_rejected = false;
-    Result<dvq::DVQ> parsed_rtn =
-        dvq_rtn.empty()
-            ? Result<dvq::DVQ>(Status::ParseError("retuner produced no DVQ"))
-            : ParseWithinStageBudget(dvq_rtn, &budget_tripped);
-    if (parsed_rtn.ok() && config_.enable_lint) {
-      analysis::DvqAnalyzer analyzer(&db.db_schema());
-      lint_rejected = analysis::HasErrors(analyzer.Analyze(parsed_rtn.value()));
-      // One deterministic repair attempt before degradation
-      // (DESIGN.md §17): an error-free repaired candidate is accepted
-      // in place of the rejected one.
-      if (lint_rejected && config_.enable_repair) {
-        analysis::DvqRepairer repairer(&db.db_schema());
-        analysis::RepairResult repaired = repairer.Repair(parsed_rtn.value());
-        if (repaired.success) {
-          dvq_rtn = repaired.dvq.ToString();
-          lint_rejected = false;
-          trace.rtn_repaired = true;
-          retune_repairs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (!parsed_rtn.ok() || lint_rejected) {
-      trace.rtn_degraded = true;
-      trace.rtn_lint_rejected = lint_rejected;
-      retune_degraded_.fetch_add(1, std::memory_order_relaxed);
-      if (budget_tripped) {
-        retune_budget_trips_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (lint_rejected) {
-        retune_lint_trips_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      trace.dvq_rtn = dvq_rtn;
-      current = std::move(dvq_rtn);
-    }
+    llm::Prompt retune_prompt =
+        llm::BuildRetunePrompt(references, current.text);
+    record(AcceptCandidate(
+               completion_dvq(llm_->Complete(retune_prompt, WorkingOptions())),
+               schema, &retune_),
+           trace.dvq_rtn, trace.rtn_degraded, trace.rtn_lint_rejected,
+           trace.rtn_repaired);
   }
 
   // --- Annotation-based Debugger -------------------------------------------
   // Same fallback contract as the retuner; an annotation-generation
   // failure (cached per schema) also degrades the stage.
-  if (config_.enable_debugger && options.enable_debugger) {
-    ScopedTimer timer(&debug_time_);
-    bool degraded = false;
-    std::string annotations;
-    if (config_.debugger_uses_annotations) {
-      Result<std::string> fetched = AnnotationsFor(db.db_schema());
-      if (fetched.ok()) {
-        annotations = fetched.value();
-      } else {
-        degraded = true;
-      }
-    }
-    if (!degraded) {
+  if (config_.enable_debugger && options.enable_refinement) {
+    ScopedTimer timer(&debug_.time);
+    Result<std::string> annotations =
+        config_.debugger_uses_annotations ? AnnotationsFor(schema)
+                                          : Result<std::string>(std::string());
+    if (!annotations.ok()) {
+      trace.dbg_degraded = true;
+      debug_.degraded.fetch_add(1, std::memory_order_relaxed);
+    } else {
       // With linting on, the debugger does not rediscover schema
       // mismatches from the annotations alone: the analyzer's findings
       // on the incoming DVQ ride along in the prompt as structured
       // repair evidence (empty findings leave the prompt byte-identical
-      // to the stock C.4 prompt).
+      // to the stock C.4 prompt). The parse is kept for the return.
       std::string lint_findings;
+      auto render_findings = [&](const dvq::DVQ& incoming) {
+        lint_findings = analysis::RenderDiagnostics(
+            analysis::DvqAnalyzer(&schema).Analyze(incoming));
+      };
       if (config_.enable_lint) {
-        Result<dvq::DVQ> incoming = dvq::Parse(current);
-        if (incoming.ok()) {
-          analysis::DvqAnalyzer analyzer(&db.db_schema());
-          lint_findings =
-              analysis::RenderDiagnostics(analyzer.Analyze(incoming.value()));
+        if (!current.parsed) {
+          current.parsed = ParseWithinStageBudget(current.text);
+        }
+        if (current.parsed->ok()) {
+          render_findings(current.parsed->value());
+        } else if (current.parsed->status().IsResourceExhausted()) {
+          // Over the stage budget is not unparseable: the evidence is
+          // rendered from an unguarded parse, and only the return
+          // rejects the DVQ.
+          Result<dvq::DVQ> unguarded = dvq::Parse(current.text);
+          if (unguarded.ok()) render_findings(unguarded.value());
         }
       }
       llm::Prompt debug_prompt = llm::BuildDebugPrompt(
-          target_schema, annotations, current, lint_findings);
-      Result<std::string> debug_completion =
-          llm_->Complete(debug_prompt, WorkingOptions());
-      std::string dvq_dbg;
-      if (debug_completion.ok()) {
-        dvq_dbg = llm::ExtractDvqText(debug_completion.value());
-      }
-      bool budget_tripped = false;
-      bool lint_rejected = false;
-      Result<dvq::DVQ> parsed_dbg =
-          dvq_dbg.empty()
-              ? Result<dvq::DVQ>(
-                    Status::ParseError("debugger produced no DVQ"))
-              : ParseWithinStageBudget(dvq_dbg, &budget_tripped);
-      if (parsed_dbg.ok() && config_.enable_lint) {
-        analysis::DvqAnalyzer analyzer(&db.db_schema());
-        lint_rejected =
-            analysis::HasErrors(analyzer.Analyze(parsed_dbg.value()));
-        if (lint_rejected && config_.enable_repair) {
-          analysis::DvqRepairer repairer(&db.db_schema());
-          analysis::RepairResult repaired =
-              repairer.Repair(parsed_dbg.value());
-          if (repaired.success) {
-            dvq_dbg = repaired.dvq.ToString();
-            lint_rejected = false;
-            trace.dbg_repaired = true;
-            debug_repairs_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (!parsed_dbg.ok() || lint_rejected) {
-        degraded = true;
-        trace.dbg_lint_rejected = lint_rejected;
-        if (budget_tripped) {
-          debug_budget_trips_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (lint_rejected) {
-          debug_lint_trips_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        trace.dvq_dbg = dvq_dbg;
-        current = std::move(dvq_dbg);
-      }
-    }
-    if (degraded) {
-      trace.dbg_degraded = true;
-      debug_degraded_.fetch_add(1, std::memory_order_relaxed);
+          target_schema, annotations.value(), current.text, lint_findings);
+      record(AcceptCandidate(
+                 completion_dvq(llm_->Complete(debug_prompt, WorkingOptions())),
+                 schema, &debug_),
+             trace.dvq_dbg, trace.dbg_degraded, trace.dbg_lint_rejected,
+             trace.dbg_repaired);
     }
   }
 
-  commit_trace();
-  // The final parse is the generator-or-survivor DVQ: there is nothing
-  // to fall back to, so a tripped budget here surfaces as a typed
+  // The return is the generator-or-survivor DVQ: there is nothing to
+  // fall back to, so a tripped budget here surfaces as a typed
   // kResourceExhausted (the generator-failure convention).
-  return ParseWithinStageBudget(current, nullptr);
+  if (!current.parsed) current.parsed = ParseWithinStageBudget(current.text);
+  return std::move(*current.parsed);
 }
 
 }  // namespace gred::core

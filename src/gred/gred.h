@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,17 @@ struct GredConfig {
 Result<std::string> GenerateAnnotations(const schema::Database& db,
                                         const llm::ChatModel& llm);
 
+/// Per-call pipeline controls, for callers that must shed work on some
+/// requests without rebuilding the pipeline (the serving layer's
+/// brownout mode, DESIGN.md §16). With refinement off the retuner and
+/// debugger are *skipped* — not degraded: no LLM call is made, no
+/// degradation counter moves, and the generator's DVQ is returned
+/// exactly as if both stages were disabled in GredConfig. The default
+/// runs the full pipeline, byte-identical to `Translate`.
+struct TranslateOptions {
+  bool enable_refinement = true;
+};
+
 /// The GRED framework: NLQ-Retrieval Generator -> DVQ-Retrieval Retuner
 /// -> Annotation-based Debugger, all through LLM prompts (Appendix C).
 class Gred : public models::TextToVisModel {
@@ -83,7 +95,7 @@ class Gred : public models::TextToVisModel {
 
   /// Thread-safe: concurrent Translate calls share the annotation cache
   /// (mutex-guarded) and the immutable embedding libraries built in the
-  /// constructor. `last_trace()` reflects whichever call finished last.
+  /// constructor; each call's trace is its own (TranslateWithTrace).
   ///
   /// Fault tolerance: a retuner or debugger failure (LLM error after any
   /// retries, or a completion with no extractable DVQ) degrades the call
@@ -102,13 +114,14 @@ class Gred : public models::TextToVisModel {
   Result<std::size_t> PrepareAnnotations(
       const std::vector<dataset::GeneratedDatabase>& databases) const;
 
-  /// Intermediate artifacts of the last Translate call (for the case
-  /// study and tests): generator output, retuner output, debugger output.
-  /// A stage that ran but produced nothing usable (LLM failure after
-  /// retries, or a completion with no extractable DVQ) leaves its dvq_*
-  /// field empty and sets its degraded flag; the pipeline falls back to
-  /// the previous stage's DVQ. The generator has no fallback, so it has
-  /// no degraded flag — its failures fail Translate.
+  /// Intermediate artifacts of one Translate call (for the serving
+  /// layer, the CLI and tests): generator output, retuner output,
+  /// debugger output. A stage that ran but produced nothing usable (LLM
+  /// failure after retries, a completion with no extractable DVQ, a
+  /// budget trip or a lint rejection) leaves its dvq_* field empty and
+  /// sets its degraded flag; the pipeline falls back to the previous
+  /// stage's DVQ. The generator has no fallback, so it has no degraded
+  /// flag — its failures fail Translate.
   struct Trace {
     std::string dvq_gen;
     std::string dvq_rtn;
@@ -127,42 +140,16 @@ class Gred : public models::TextToVisModel {
     bool rtn_repaired = false;
     bool dbg_repaired = false;
   };
-  /// Snapshot of the most recently completed Translate's trace (copied
-  /// under the trace mutex; under concurrency "last" means whichever
-  /// call committed its trace last).
-  Trace last_trace() const;
 
-  /// Per-call pipeline controls, for callers that must shed work on
-  /// some requests without rebuilding the pipeline (the serving layer's
-  /// brownout mode, DESIGN.md §16). A disabled stage is *skipped* — not
-  /// degraded: no LLM call is made, no degradation counter moves, and
-  /// the previous stage's DVQ carries forward exactly as if the stage
-  /// were disabled in GredConfig. Defaults run the full pipeline, so
-  /// `TranslateOptions{}` is byte-identical to the plain overloads.
-  struct TranslateOptions {
-    bool enable_retuner = true;
-    bool enable_debugger = true;
-  };
-
-  /// Translate variant reporting this call's trace through `trace_out`
-  /// (may be null). Under concurrency `last_trace()` only reflects
-  /// whichever call committed last, so callers that need *their own*
-  /// call's degradation flags — the serving layer stamps them into
-  /// every response — use this overload instead of racing on
-  /// `last_trace()`. The shared trace is still committed, so
-  /// `last_trace()` semantics are unchanged; `Translate(nlq, db)` is
-  /// exactly this call with a null `trace_out`.
-  Result<dvq::DVQ> TranslateWithTrace(const std::string& nlq,
-                                      const storage::DatabaseData& db,
-                                      Trace* trace_out) const;
-
-  /// TranslateWithTrace with per-call stage controls (see
-  /// TranslateOptions); the three-argument overload is exactly this
-  /// call with default options.
-  Result<dvq::DVQ> TranslateWithTrace(const std::string& nlq,
-                                      const storage::DatabaseData& db,
-                                      Trace* trace_out,
-                                      const TranslateOptions& options) const;
+  /// Translate that also reports this call's trace through `trace_out`
+  /// (may be null; reset before the pipeline runs) and takes per-call
+  /// stage controls. `Translate(nlq, db)` is exactly this call with a
+  /// null `trace_out` and default options. Concurrent callers each get
+  /// their own trace — the serving layer stamps its flags into every
+  /// response.
+  Result<dvq::DVQ> TranslateWithTrace(
+      const std::string& nlq, const storage::DatabaseData& db,
+      Trace* trace_out, const TranslateOptions& options = {}) const;
 
   /// Cumulative wall time spent in each pipeline stage across every
   /// Translate on this instance (summed over threads in parallel runs).
@@ -204,11 +191,56 @@ class Gred : public models::TextToVisModel {
   const GredConfig& config() const { return config_; }
 
  private:
+  /// One refinement stage's cumulative counters (StageStats' retune_* /
+  /// debug_* fields). The timer covers the whole stage.
+  struct StageCounters {
+    AtomicDuration time;
+    std::atomic<std::uint64_t> degraded{0};
+    std::atomic<std::uint64_t> budget_trips{0};
+    std::atomic<std::uint64_t> lint_trips{0};
+    std::atomic<std::uint64_t> repairs{0};
+  };
+
+  /// The DVQ a stage hands to the next: its text and, once known, the
+  /// text's parse under config_.stage_limits, so that no text is parsed
+  /// twice under the same limits.
+  struct StageDvq {
+    std::string text;
+    std::optional<Result<dvq::DVQ>> parsed;
+  };
+
+  /// What AcceptCandidate decided about a refinement stage's candidate.
+  /// kAccepted and kRepaired replace the DVQ; every other verdict
+  /// degrades the stage, and the previous stage's DVQ carries forward.
+  enum class Verdict {
+    kAccepted,      // parsed within budget and (with linting) error-free
+    kRepaired,      // lint-rejected, then repaired to an error-free DVQ
+    kUnparseable,   // empty or not a DVQ
+    kBudgetTrip,    // over config_.stage_limits
+    kLintRejected,  // error-level diagnostic and no successful repair
+  };
+  struct Judged {
+    Verdict verdict;
+    StageDvq dvq;  // the DVQ to carry forward when accepted
+    bool accepted() const {
+      return verdict == Verdict::kAccepted || verdict == Verdict::kRepaired;
+    }
+  };
+
+  /// The acceptance policy both refinement stages share (DESIGN.md §8):
+  /// parse the candidate under the stage budget, lint it against
+  /// `schema` (GredConfig::enable_lint), try one repair
+  /// (GredConfig::enable_repair), and count the outcome in `counters`.
+  /// A repaired candidate carries only its text: it is parsed when a
+  /// later step needs it.
+  Judged AcceptCandidate(std::string candidate, const schema::Database& schema,
+                         StageCounters* counters) const;
+
   /// Parses stage output under config_.stage_limits (one accounted tick
   /// per token); see GredConfig::stage_limits for the degradation
-  /// contract. Unlimited limits parse unguarded.
-  Result<dvq::DVQ> ParseWithinStageBudget(const std::string& text,
-                                          bool* budget_tripped) const;
+  /// contract. Unlimited limits parse unguarded. Only a budget trip
+  /// returns kResourceExhausted.
+  Result<dvq::DVQ> ParseWithinStageBudget(const std::string& text) const;
 
   /// Annotation collection, keyed by schema fingerprint (clean and
   /// perturbed corpora share database names but not schemas). Failures
@@ -231,20 +263,10 @@ class Gred : public models::TextToVisModel {
   std::vector<const std::string*> example_schema_prompts_;
   mutable std::mutex annotation_mutex_;  // guards annotation_cache_
   mutable std::map<std::string, Result<std::string>> annotation_cache_;
-  mutable std::mutex trace_mutex_;  // guards trace_
-  mutable Trace trace_;
   mutable AtomicDuration retrieval_time_;
-  mutable AtomicDuration retune_time_;
-  mutable AtomicDuration debug_time_;
   mutable std::atomic<std::uint64_t> translate_calls_{0};
-  mutable std::atomic<std::uint64_t> retune_degraded_{0};
-  mutable std::atomic<std::uint64_t> debug_degraded_{0};
-  mutable std::atomic<std::uint64_t> retune_budget_trips_{0};
-  mutable std::atomic<std::uint64_t> debug_budget_trips_{0};
-  mutable std::atomic<std::uint64_t> retune_lint_trips_{0};
-  mutable std::atomic<std::uint64_t> debug_lint_trips_{0};
-  mutable std::atomic<std::uint64_t> retune_repairs_{0};
-  mutable std::atomic<std::uint64_t> debug_repairs_{0};
+  mutable StageCounters retune_;
+  mutable StageCounters debug_;
 };
 
 }  // namespace gred::core

@@ -343,13 +343,10 @@ std::string Server::Process(const Request& request, bool brownout) const {
   // carries this request's own degradation flags. Brownout admissions
   // shed the retuner/debugger stages — the quality slope that replaces
   // the reject cliff.
-  core::Gred::TranslateOptions translate_options;
-  translate_options.enable_retuner = !brownout;
-  translate_options.enable_debugger = !brownout;
   core::Gred::Trace trace;
   const auto translate_start = std::chrono::steady_clock::now();
   Result<dvq::DVQ> dvq = epoch->gred->TranslateWithTrace(
-      request.nlq, db->data, &trace, translate_options);
+      request.nlq, db->data, &trace, {.enable_refinement = !brownout});
   const std::int64_t translate_us =
       timed ? ElapsedMicros(translate_start) : 0;
   if (!dvq.ok()) {
@@ -360,8 +357,35 @@ std::string Server::Process(const Request& request, bool brownout) const {
     return ErrorResponse(&request.id, dvq.status());
   }
 
-  json::Value out = json::Value::Object();
-  if (!request.id.is_null()) out.Set("id", request.id);
+  // Both replies below — cost-rejected and executed — open with the
+  // translation and close with the timings. Objects keep insertion
+  // order, so these two builders fix the key order of both.
+  auto open_reply = [&](bool ok) {
+    json::Value out = json::Value::Object();
+    if (!request.id.is_null()) out.Set("id", request.id);
+    out.Set("ok", json::Value::Bool(ok));
+    out.Set("dvq", json::Value::Str(dvq.value().ToString()));
+    out.Set("sql", json::Value::Str(dvq::ToSql(dvq.value())));
+    json::Value degraded = json::Value::Object();
+    degraded.Set("retuner", json::Value::Bool(trace.rtn_degraded));
+    degraded.Set("debugger", json::Value::Bool(trace.dbg_degraded));
+    // Typed brownout marker: present (and true) exactly when this
+    // request was admitted in degraded mode, so knobs-off responses stay
+    // byte-identical to the pre-brownout wire format.
+    if (brownout) degraded.Set("brownout", json::Value::Bool(true));
+    out.Set("degraded", std::move(degraded));
+    return out;
+  };
+  auto close_reply = [&](json::Value out, std::int64_t execute_us) {
+    if (timed) {
+      json::Value timings = json::Value::Object();
+      timings.Set("translate_us", json::Value::Int(translate_us));
+      timings.Set("execute_us", json::Value::Int(execute_us));
+      timings.Set("total_us", json::Value::Int(ElapsedMicros(start)));
+      out.Set("timings_us", std::move(timings));
+    }
+    return out.Dump();
+  };
 
   // The request's SLO: deadline_ms/budget_rows arm a fresh ExecContext
   // for the data path (PR 4's guards — deterministic accounted ticks,
@@ -384,41 +408,23 @@ std::string Server::Process(const Request& request, bool brownout) const {
     if (estimate.ok() && estimate.value().Exceeds(limits)) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       rejected_cost_.fetch_add(1, std::memory_order_relaxed);
-      out.Set("ok", json::Value::Bool(false));
-      out.Set("dvq", json::Value::Str(dvq.value().ToString()));
-      out.Set("sql", json::Value::Str(dvq::ToSql(dvq.value())));
-      json::Value degraded = json::Value::Object();
-      degraded.Set("retuner", json::Value::Bool(trace.rtn_degraded));
-      degraded.Set("debugger", json::Value::Bool(trace.dbg_degraded));
-      if (brownout) degraded.Set("brownout", json::Value::Bool(true));
-      out.Set("degraded", std::move(degraded));
+      json::Value out = open_reply(false);
       out.Set("cost_exceeded", json::Value::Bool(true));
       const analysis::CostEstimate& cost = estimate.value();
+      auto count = [](std::uint64_t n) {
+        return json::Value::Int(static_cast<std::int64_t>(
+            std::min<std::uint64_t>(n, INT64_MAX)));
+      };
       json::Value priced = json::Value::Object();
-      priced.Set("ticks", json::Value::Int(
-                              static_cast<std::int64_t>(std::min<std::uint64_t>(
-                                  cost.ticks, INT64_MAX))));
-      priced.Set("rows", json::Value::Int(
-                             static_cast<std::int64_t>(std::min<std::uint64_t>(
-                                 cost.rows, INT64_MAX))));
-      priced.Set("bytes", json::Value::Int(
-                              static_cast<std::int64_t>(std::min<std::uint64_t>(
-                                  cost.bytes, INT64_MAX))));
-      priced.Set("join_rows",
-                 json::Value::Int(static_cast<std::int64_t>(
-                     std::min<std::uint64_t>(cost.join_rows, INT64_MAX))));
+      priced.Set("ticks", count(cost.ticks));
+      priced.Set("rows", count(cost.rows));
+      priced.Set("bytes", count(cost.bytes));
+      priced.Set("join_rows", count(cost.join_rows));
       priced.Set("exceeded",
                  json::Value::Str(cost.ExceededBudget(limits)));
       out.Set("cost", std::move(priced));
       out.Set("error", json::Value::Str("cost_exceeded"));
-      if (timed) {
-        json::Value timings = json::Value::Object();
-        timings.Set("translate_us", json::Value::Int(translate_us));
-        timings.Set("execute_us", json::Value::Int(0));
-        timings.Set("total_us", json::Value::Int(ElapsedMicros(start)));
-        out.Set("timings_us", std::move(timings));
-      }
-      return out.Dump();
+      return close_reply(std::move(out), 0);
     }
   }
 
@@ -428,18 +434,7 @@ std::string Server::Process(const Request& request, bool brownout) const {
       viz::BuildChart(dvq.value(), db->data, &guard);
   const std::int64_t execute_us = timed ? ElapsedMicros(execute_start) : 0;
 
-  out.Set("ok", json::Value::Bool(chart.ok()));
-  out.Set("dvq", json::Value::Str(dvq.value().ToString()));
-  out.Set("sql", json::Value::Str(dvq::ToSql(dvq.value())));
-  json::Value degraded = json::Value::Object();
-  degraded.Set("retuner", json::Value::Bool(trace.rtn_degraded));
-  degraded.Set("debugger", json::Value::Bool(trace.dbg_degraded));
-  // Typed brownout marker: present (and true) exactly when this request
-  // was admitted in degraded mode, so knobs-off responses stay
-  // byte-identical to the pre-brownout wire format.
-  if (brownout) degraded.Set("brownout", json::Value::Bool(true));
-  out.Set("degraded", std::move(degraded));
-
+  json::Value out = open_reply(chart.ok());
   if (chart.ok()) {
     completed_.fetch_add(1, std::memory_order_relaxed);
     out.Set("rows", json::Value::Int(
@@ -460,15 +455,7 @@ std::string Server::Process(const Request& request, bool brownout) const {
     out.Set("error", json::Value::Str(status.message()));
     out.Set("code", json::Value::Str(StatusCodeToString(status.code())));
   }
-
-  if (timed) {
-    json::Value timings = json::Value::Object();
-    timings.Set("translate_us", json::Value::Int(translate_us));
-    timings.Set("execute_us", json::Value::Int(execute_us));
-    timings.Set("total_us", json::Value::Int(ElapsedMicros(start)));
-    out.Set("timings_us", std::move(timings));
-  }
-  return out.Dump();
+  return close_reply(std::move(out), execute_us);
 }
 
 std::shared_ptr<analysis::CostEstimator> Server::CostEstimatorFor(

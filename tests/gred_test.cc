@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <ostream>
 #include <thread>
 
 #include "analysis/analyzer.h"
@@ -21,6 +23,7 @@ namespace {
 class GredFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    if (suite_ != nullptr) return;  // shared with the parameterized suites
     dataset::BenchmarkOptions options;
     options.train_size = 240;
     options.test_size = 40;
@@ -64,11 +67,12 @@ TEST_F(GredFixture, TranslatesCleanExample) {
   Gred model(corpus_, llm_);
   const dataset::Example& ex = suite_->test_clean[0];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_FALSE(model.last_trace().dvq_gen.empty());
-  EXPECT_FALSE(model.last_trace().dvq_rtn.empty());
-  EXPECT_FALSE(model.last_trace().dvq_dbg.empty());
+  EXPECT_FALSE(trace.dvq_gen.empty());
+  EXPECT_FALSE(trace.dvq_rtn.empty());
+  EXPECT_FALSE(trace.dvq_dbg.empty());
 }
 
 TEST_F(GredFixture, AblationSwitchesSkipStages) {
@@ -80,11 +84,40 @@ TEST_F(GredFixture, AblationSwitchesSkipStages) {
   EXPECT_EQ(model.name(), "GRED w/o RTN&DBG");
   const dataset::Example& ex = suite_->test_clean[1];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok());
-  EXPECT_FALSE(model.last_trace().dvq_gen.empty());
-  EXPECT_TRUE(model.last_trace().dvq_rtn.empty());
-  EXPECT_TRUE(model.last_trace().dvq_dbg.empty());
+  EXPECT_FALSE(trace.dvq_gen.empty());
+  EXPECT_TRUE(trace.dvq_rtn.empty());
+  EXPECT_TRUE(trace.dvq_dbg.empty());
+}
+
+TEST_F(GredFixture, PerCallRefinementSwitchSkipsBothStages) {
+  // TranslateOptions{false} sheds the retuner and debugger for one call:
+  // the same DVQ as a pipeline built without them, nothing degraded, and
+  // a caller's stale trace is reset rather than merged into.
+  GredConfig no_refinement;
+  no_refinement.enable_retuner = false;
+  no_refinement.enable_debugger = false;
+  Gred reference(corpus_, llm_, no_refinement);
+  Gred model(corpus_, llm_);
+  const dataset::Example& ex = suite_->test_both[1];
+  const dataset::GeneratedDatabase* db = suite_->FindRobDb(ex.db_name);
+  Gred::Trace trace;
+  trace.dvq_rtn = "stale";
+  trace.dbg_degraded = true;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(
+      ex.nlq, db->data, &trace, TranslateOptions{.enable_refinement = false});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  Result<dvq::DVQ> expected = reference.Translate(ex.nlq, db->data);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(out.value().ToString(), expected.value().ToString());
+  EXPECT_FALSE(trace.dvq_gen.empty());
+  EXPECT_TRUE(trace.dvq_rtn.empty());
+  EXPECT_FALSE(trace.dbg_degraded);
+  Gred::StageStats stats = model.stage_stats();
+  EXPECT_EQ(stats.retune_seconds + stats.debug_seconds, 0.0);
+  EXPECT_EQ(stats.retune_degraded + stats.debug_degraded, 0u);
 }
 
 TEST_F(GredFixture, DebuggerRecoversRenamedSchema) {
@@ -113,9 +146,10 @@ TEST_F(GredFixture, DebuggerWithoutAnnotationsStillRuns) {
   Gred model(corpus_, llm_, config);
   const dataset::Example& ex = suite_->test_schema[0];
   const dataset::GeneratedDatabase* db = suite_->FindRobDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   EXPECT_TRUE(out.ok());
-  EXPECT_FALSE(model.last_trace().dvq_dbg.empty());
+  EXPECT_FALSE(trace.dvq_dbg.empty());
 }
 
 TEST_F(GredFixture, DeterministicTranslations) {
@@ -238,9 +272,9 @@ TEST_F(GredFixture, DegradedRetunerFallsBackToGeneratorDvq) {
   Gred reference(corpus_, llm_, no_rtn);
   const dataset::Example& ex = suite_->test_clean[0];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
   EXPECT_FALSE(trace.dvq_gen.empty());
   EXPECT_TRUE(trace.dvq_rtn.empty());  // the stage produced nothing
   EXPECT_TRUE(trace.rtn_degraded);
@@ -257,9 +291,9 @@ TEST_F(GredFixture, DegradedDebuggerFallsBackToRetunerDvq) {
   Gred model(corpus_, &failing);
   const dataset::Example& ex = suite_->test_clean[1];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
   EXPECT_FALSE(trace.dvq_rtn.empty());
   EXPECT_TRUE(trace.dvq_dbg.empty());
   EXPECT_FALSE(trace.rtn_degraded);
@@ -276,9 +310,9 @@ TEST_F(GredFixture, DegradedAnnotationFailureSkipsDebugger) {
   Gred model(corpus_, &failing);
   const dataset::Example& ex = suite_->test_schema[0];
   const dataset::GeneratedDatabase* db = suite_->FindRobDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
   EXPECT_TRUE(trace.dvq_dbg.empty());
   EXPECT_TRUE(trace.dbg_degraded);
   EXPECT_EQ(model.stage_stats().debug_degraded, 1u);
@@ -297,9 +331,9 @@ TEST_F(GredFixture, DegradedTraceNeverClaimsCarriedForwardOutput) {
   Gred model(corpus_, &refusing);
   const dataset::Example& ex = suite_->test_clean[2];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
   EXPECT_FALSE(trace.dvq_gen.empty());
   EXPECT_TRUE(trace.dvq_rtn.empty());
   EXPECT_TRUE(trace.rtn_degraded);
@@ -324,9 +358,9 @@ TEST_F(GredFixture, RetryRecoversDegradableStage) {
   Gred model(corpus_, &retrying);
   const dataset::Example& ex = suite_->test_clean[0];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
   EXPECT_FALSE(trace.rtn_degraded);
   EXPECT_FALSE(trace.dvq_rtn.empty());
   EXPECT_EQ(model.stage_stats().retune_degraded, 0u);
@@ -377,7 +411,124 @@ TEST_F(GredFixture, DegradedFaultInjectedRunsAreThreadCountInvariant) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST_F(GredFixture, RepairGateRescuesLintRejectedRetunerCandidate) {
+TEST_F(GredFixture, GeneratorOverStageBudgetSurfacesResourceExhausted) {
+  // A budget the generator's own DVQ exceeds leaves nothing to fall
+  // back to: both refinement candidates trip too, and Translate returns
+  // the typed budget error instead of a DVQ.
+  GredConfig tiny_budget;
+  tiny_budget.stage_limits.deadline_ticks = 2;
+  Gred model(corpus_, llm_, tiny_budget);
+  const dataset::Example& ex = suite_->test_clean[0];
+  const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsResourceExhausted()) << out.status().ToString();
+  EXPECT_FALSE(trace.dvq_gen.empty());
+  EXPECT_TRUE(trace.rtn_degraded);
+  EXPECT_TRUE(trace.dbg_degraded);
+  Gred::StageStats stats = model.stage_stats();
+  EXPECT_EQ(stats.retune_budget_trips, 1u);
+  EXPECT_EQ(stats.debug_budget_trips, 1u);
+}
+
+/// Records the last prompt containing `needle`; delegates every call.
+class CapturingChatModel : public llm::ChatModel {
+ public:
+  CapturingChatModel(const llm::ChatModel* inner, std::string needle)
+      : inner_(inner), needle_(std::move(needle)) {}
+
+  Result<std::string> Complete(
+      const llm::Prompt& prompt,
+      const llm::ChatOptions& options) const override {
+    std::string rendered = llm::RenderPrompt(prompt);
+    if (rendered.find(needle_) != std::string::npos) {
+      captured_ = std::move(rendered);
+    }
+    return inner_->Complete(prompt, options);
+  }
+
+  const std::string& captured() const { return captured_; }
+
+ private:
+  const llm::ChatModel* inner_;
+  std::string needle_;
+  mutable std::string captured_;  // single-threaded tests only
+};
+
+TEST_F(GredFixture, DebuggerLintEvidenceIgnoresStageBudget) {
+  // The debugger's lint evidence is rendered for any parseable incoming
+  // DVQ, even one over the stage budget: the same prompt as with no
+  // budget. Only the return rejects the over-budget DVQ.
+  GredConfig linted;
+  linted.enable_lint = true;
+  linted.enable_retuner = false;  // the generator's DVQ enters the debugger
+  GredConfig budgeted = linted;
+  budgeted.stage_limits.deadline_ticks = 2;
+  for (const dataset::Example& ex : suite_->test_schema) {
+    const dataset::GeneratedDatabase* db = suite_->FindRobDb(ex.db_name);
+    CapturingChatModel free_llm(llm_, kDebugNeedle);
+    Gred unlimited(corpus_, &free_llm, linted);
+    ASSERT_TRUE(unlimited.Translate(ex.nlq, db->data).ok());
+    if (free_llm.captured().find("Static Analysis Findings") ==
+        std::string::npos) {
+      continue;  // a clean generator DVQ: no evidence to compare
+    }
+    CapturingChatModel tight_llm(llm_, kDebugNeedle);
+    Gred tight(corpus_, &tight_llm, budgeted);
+    Result<dvq::DVQ> out = tight.Translate(ex.nlq, db->data);
+    ASSERT_FALSE(out.ok());
+    EXPECT_TRUE(out.status().IsResourceExhausted());
+    EXPECT_EQ(tight_llm.captured(), free_llm.captured());
+    return;
+  }
+  FAIL() << "no schema-variant example gave the debugger lint evidence";
+}
+
+// --- Refinement-stage acceptance, run against each stage -------------------
+
+/// One refinement stage: the needle that picks out its prompt, and
+/// accessors for its own trace fields and counters.
+struct RefinementStage {
+  const char* name;
+  const char* needle;
+  bool retuner;
+
+  const std::string& dvq(const Gred::Trace& t) const {
+    return retuner ? t.dvq_rtn : t.dvq_dbg;
+  }
+  bool degraded(const Gred::Trace& t) const {
+    return retuner ? t.rtn_degraded : t.dbg_degraded;
+  }
+  bool lint_rejected(const Gred::Trace& t) const {
+    return retuner ? t.rtn_lint_rejected : t.dbg_lint_rejected;
+  }
+  bool repaired(const Gred::Trace& t) const {
+    return retuner ? t.rtn_repaired : t.dbg_repaired;
+  }
+  std::uint64_t degraded(const Gred::StageStats& s) const {
+    return retuner ? s.retune_degraded : s.debug_degraded;
+  }
+  std::uint64_t budget_trips(const Gred::StageStats& s) const {
+    return retuner ? s.retune_budget_trips : s.debug_budget_trips;
+  }
+  std::uint64_t lint_trips(const Gred::StageStats& s) const {
+    return retuner ? s.retune_lint_trips : s.debug_lint_trips;
+  }
+  std::uint64_t repairs(const Gred::StageStats& s) const {
+    return retuner ? s.retune_repairs : s.debug_repairs;
+  }
+};
+
+void PrintTo(const RefinementStage& stage, std::ostream* os) {
+  *os << stage.name;
+}
+
+class GredStage : public GredFixture,
+                  public ::testing::WithParamInterface<RefinementStage> {};
+
+TEST_P(GredStage, RepairGateRescuesLintRejectedCandidate) {
+  const RefinementStage& stage = GetParam();
   // Find a clean example whose DVQ, with one select column misspelled,
   // lints broken but repairs back to error-free — the candidate shape
   // the repair gate exists for.
@@ -410,42 +561,99 @@ TEST_F(GredFixture, RepairGateRescuesLintRejectedRetunerCandidate) {
   }
   ASSERT_NE(example, nullptr) << "no repairable corpus mutant found";
 
-  // The retuner stage always answers with the broken DVQ. Lint alone
-  // rejects it (degrade, keep the generator's DVQ); lint + repair
-  // rescues it (accept the repaired candidate, nothing degrades).
-  AnswerMatchingChatModel broken_retuner(llm_, kRetuneNeedle, broken_text);
+  // The stage always answers with the broken DVQ. Lint alone rejects it
+  // (degrade, keep the previous DVQ); lint + repair rescues it (accept
+  // the repaired candidate, nothing degrades).
+  AnswerMatchingChatModel broken_stage(llm_, stage.needle, broken_text);
   GredConfig lint_only;
   lint_only.enable_lint = true;
-  Gred linted(corpus_, &broken_retuner, lint_only);
-  Result<dvq::DVQ> rejected = linted.Translate(example->nlq, db->data);
+  Gred linted(corpus_, &broken_stage, lint_only);
+  Gred::Trace lint_trace;
+  Result<dvq::DVQ> rejected =
+      linted.TranslateWithTrace(example->nlq, db->data, &lint_trace);
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  Gred::Trace lint_trace = linted.last_trace();
-  EXPECT_TRUE(lint_trace.rtn_lint_rejected);
-  EXPECT_TRUE(lint_trace.rtn_degraded);
-  EXPECT_FALSE(lint_trace.rtn_repaired);
-  EXPECT_EQ(linted.stage_stats().retune_lint_trips, 1u);
-  EXPECT_EQ(linted.stage_stats().retune_repairs, 0u);
+  EXPECT_TRUE(stage.lint_rejected(lint_trace));
+  EXPECT_TRUE(stage.degraded(lint_trace));
+  EXPECT_FALSE(stage.repaired(lint_trace));
+  EXPECT_TRUE(stage.dvq(lint_trace).empty());
+  EXPECT_EQ(stage.degraded(linted.stage_stats()), 1u);
+  EXPECT_EQ(stage.lint_trips(linted.stage_stats()), 1u);
+  EXPECT_EQ(stage.repairs(linted.stage_stats()), 0u);
 
   GredConfig with_repair = lint_only;
   with_repair.enable_repair = true;
-  Gred repairing(corpus_, &broken_retuner, with_repair);
-  Result<dvq::DVQ> rescued = repairing.Translate(example->nlq, db->data);
+  Gred repairing(corpus_, &broken_stage, with_repair);
+  Gred::Trace trace;
+  Result<dvq::DVQ> rescued =
+      repairing.TranslateWithTrace(example->nlq, db->data, &trace);
   ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
-  Gred::Trace trace = repairing.last_trace();
-  EXPECT_TRUE(trace.rtn_repaired);
-  EXPECT_FALSE(trace.rtn_lint_rejected);
-  EXPECT_FALSE(trace.rtn_degraded);
-  EXPECT_EQ(repairing.stage_stats().retune_repairs, 1u);
-  EXPECT_EQ(repairing.stage_stats().retune_lint_trips, 0u);
-  // The accepted retuner DVQ is the repaired candidate: not the broken
-  // text, and error-free against the schema.
-  EXPECT_FALSE(trace.dvq_rtn.empty());
-  EXPECT_NE(trace.dvq_rtn, broken_text);
-  Result<dvq::DVQ> accepted = dvq::Parse(trace.dvq_rtn);
+  EXPECT_TRUE(stage.repaired(trace));
+  EXPECT_FALSE(stage.lint_rejected(trace));
+  EXPECT_FALSE(stage.degraded(trace));
+  EXPECT_EQ(stage.degraded(repairing.stage_stats()), 0u);
+  EXPECT_EQ(stage.repairs(repairing.stage_stats()), 1u);
+  EXPECT_EQ(stage.lint_trips(repairing.stage_stats()), 0u);
+  // The accepted DVQ is the repaired candidate: not the broken text,
+  // and error-free against the schema.
+  EXPECT_FALSE(stage.dvq(trace).empty());
+  EXPECT_NE(stage.dvq(trace), broken_text);
+  Result<dvq::DVQ> accepted = dvq::Parse(stage.dvq(trace));
   ASSERT_TRUE(accepted.ok());
   analysis::DvqAnalyzer analyzer(&db->data.db_schema());
   EXPECT_FALSE(analysis::HasErrors(analyzer.Analyze(accepted.value())));
 }
+
+TEST_P(GredStage, StageBudgetTripKeepsPreviousDvq) {
+  const RefinementStage& stage = GetParam();
+  // A well-formed DVQ of about 2000 tokens: one accounted tick per token
+  // puts it over a 1000-tick stage budget that every corpus DVQ fits.
+  std::string oversized =
+      "Visualize BAR SELECT city , COUNT(city) FROM t WHERE city = 'a'";
+  for (int i = 0; i < 500; ++i) oversized += " OR city = 'a'";
+  oversized += " GROUP BY city";
+  ASSERT_TRUE(dvq::Parse(oversized).ok());
+
+  GredConfig budgeted;
+  budgeted.stage_limits.deadline_ticks = 1000;
+  AnswerMatchingChatModel oversizing(llm_, stage.needle, oversized);
+  Gred model(corpus_, &oversizing, budgeted);
+  const dataset::Example& ex = suite_->test_clean[0];
+  const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
+  Gred::Trace trace;
+  Result<dvq::DVQ> out = model.TranslateWithTrace(ex.nlq, db->data, &trace);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(stage.degraded(trace));
+  EXPECT_FALSE(stage.lint_rejected(trace));
+  EXPECT_TRUE(stage.dvq(trace).empty());  // the stage produced nothing
+  Gred::StageStats stats = model.stage_stats();
+  EXPECT_EQ(stage.degraded(stats), 1u);
+  EXPECT_EQ(stage.budget_trips(stats), 1u);
+  EXPECT_EQ(stats.retune_budget_trips + stats.debug_budget_trips, 1u);
+
+  // The previous stage's DVQ carries forward. A tripped retuner behaves
+  // like a pipeline without one; a tripped debugger returns the
+  // retuner's DVQ.
+  std::string expected;
+  if (stage.retuner) {
+    GredConfig no_rtn = budgeted;
+    no_rtn.enable_retuner = false;
+    Gred reference(corpus_, llm_, no_rtn);
+    Result<dvq::DVQ> ref = reference.Translate(ex.nlq, db->data);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    expected = ref.value().ToString();
+  } else {
+    ASSERT_FALSE(trace.dvq_rtn.empty());
+    Result<dvq::DVQ> retuned = dvq::Parse(trace.dvq_rtn);
+    ASSERT_TRUE(retuned.ok());
+    expected = retuned.value().ToString();
+  }
+  EXPECT_EQ(out.value().ToString(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RefinementStages, GredStage,
+    ::testing::Values(RefinementStage{"Retuner", kRetuneNeedle, true},
+                      RefinementStage{"Debugger", kDebugNeedle, false}));
 
 }  // namespace
 }  // namespace gred::core

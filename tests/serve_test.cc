@@ -506,7 +506,8 @@ TEST_F(ServeFixture, CostGateRejectsOverBudgetQueryBeforeExecution) {
     obj.Set("nlq", json::Value::Str(suite_->test_clean[i].nlq));
     obj.Set("db", json::Value::Str(suite_->test_clean[i].db_name));
     obj.Set("budget_rows", json::Value::Int(1));
-    json::ParseResult gated = json::Parse(server.Handle(obj.Dump()));
+    const std::string gated_line = server.Handle(obj.Dump());
+    json::ParseResult gated = json::Parse(gated_line);
     ASSERT_TRUE(gated.ok());
     const json::Value& reply = gated.value();
     EXPECT_FALSE(reply.Find("ok")->bool_value());
@@ -538,6 +539,23 @@ TEST_F(ServeFixture, CostGateRejectsOverBudgetQueryBeforeExecution) {
     EXPECT_FALSE(runtime.value().Find("ok")->bool_value());
     ASSERT_NE(runtime.value().Find("resource_exhausted"), nullptr);
     EXPECT_EQ(plain.stats().rejected_cost, 0u);
+    // Both replies describe the same translation: the gate changes the
+    // verdict, never the dvq/sql/degraded fields the client retries with.
+    for (const char* key : {"dvq", "sql", "degraded"}) {
+      ASSERT_NE(runtime.value().Find(key), nullptr) << key;
+      EXPECT_EQ(reply.Find(key)->Dump(), runtime.value().Find(key)->Dump())
+          << key;
+    }
+    // Objects keep insertion order, so the key order is part of the wire
+    // bytes: pin it.
+    std::size_t previous = 0;
+    for (const char* key : {"id", "ok", "dvq", "sql", "degraded",
+                            "cost_exceeded", "cost", "error"}) {
+      const std::size_t at = gated_line.find("\"" + std::string(key) + "\":");
+      ASSERT_NE(at, std::string::npos) << key;
+      EXPECT_GT(at, previous) << key << " out of order in " << gated_line;
+      previous = at;
+    }
     return;
   }
   FAIL() << "no test example produced a successful multi-row chart";

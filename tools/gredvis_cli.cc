@@ -167,13 +167,13 @@ int CmdTranslate(const std::string& db_name, const std::string& question) {
   corpus.train = &suite.train;
   corpus.databases = &suite.databases;
   core::Gred gred(corpus, chat);
-  Result<dvq::DVQ> dvq = gred.Translate(question, db->data);
+  core::Gred::Trace trace;
+  Result<dvq::DVQ> dvq = gred.TranslateWithTrace(question, db->data, &trace);
   if (!dvq.ok()) {
     std::fprintf(stderr, "translation failed: %s\n",
                  dvq.status().ToString().c_str());
     return 1;
   }
-  core::Gred::Trace trace = gred.last_trace();
   std::fprintf(stderr, "[gredvis] generator: %s\n", trace.dvq_gen.c_str());
   std::fprintf(stderr, "[gredvis] retuner:   %s\n",
                trace.rtn_degraded ? "(degraded; generator DVQ kept)"
